@@ -10,10 +10,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.core.timestamps import Timestamp
+from repro.core.certificates import GENESIS_TXID
+from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import TxRecord
 from repro.crypto.digest import Digest
-from repro.storage.versionstore import VersionStore
+from repro.storage.versionstore import GenesisLayer, VersionStore
 
 
 class TapirVote(enum.Enum):
@@ -38,10 +39,9 @@ class TapirStore:
         self.prepared: dict[Digest, TapirTxState] = {}
 
     def load(self, key, value) -> None:
-        from repro.core.certificates import GENESIS_TXID
-        from repro.core.timestamps import GENESIS
-
-        self.versions.apply_committed_write(key, GENESIS, value, GENESIS_TXID)
+        """Install one genesis key on this store alone (systems share a
+        whole shard's layer through ``VersionStore.attach_genesis``)."""
+        self.versions.attach_genesis(GenesisLayer(GENESIS, GENESIS_TXID, {key: value}))
 
     def read(self, key, ts: Timestamp):
         """Latest committed version below ``ts`` (prepared are invisible)."""

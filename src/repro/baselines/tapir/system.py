@@ -19,6 +19,7 @@ from typing import Any
 
 from repro.config import SystemConfig
 from repro.baselines.tapir.store import TapirStore, TapirVote
+from repro.core.certificates import GENESIS_TXID
 from repro.core.sharding import Sharder, stream_load
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import TxBuilder, TxRecord
@@ -27,6 +28,7 @@ from repro.sim.events import Queue
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.storage.versionstore import GenesisLayer
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +93,12 @@ class TapirReplica(Node):
         self.shard = sharder.shard_of_replica(name)
         self.store = TapirStore()
 
-    def load(self, items: dict[Any, Any]) -> None:
-        for key, value in items.items():
-            if self.sharder.shard_of(key) == self.shard:
-                self.store.load(key, value)
+    def load(self, items: Any) -> None:
+        """Install genesis state on this replica alone, keeping only its
+        own shard's keys (``TapirSystem.load`` shares one layer per shard)."""
+        layer = GenesisLayer(GENESIS, GENESIS_TXID)
+        stream_load(self.sharder, {self.shard: [layer]}, items)
+        self.store.versions.attach_genesis(layer)
 
     async def handle_message(self, sender: str, message: Any) -> None:
         if isinstance(message, TRead):
@@ -356,6 +360,8 @@ class TapirSystem:
         self.network = Network(self.sim, self.config.network)
         self.sharder = Sharder(self.config, replicas_per_shard=2 * self.config.f + 1)
         self.replicas: dict[str, TapirReplica] = {}
+        #: shard -> the genesis layer its replicas share.
+        self.genesis: dict[int, GenesisLayer] = {}
         self.clients: list[TapirClient] = []
         self._next_client_id = 1
         from repro.core.system import CLOCK_EPOCH
@@ -371,11 +377,13 @@ class TapirSystem:
 
     def load(self, items: Any) -> None:
         """Genesis load: accepts a mapping or lazy ``(key, value)`` pairs,
-        streamed in shard-bucketed chunks (see ``stream_load``)."""
-        by_shard: dict[int, list[Any]] = {}
+        streamed in shard-bucketed chunks (see ``stream_load``) into one
+        genesis layer per shard that all its replicas share."""
+        for shard in range(self.config.num_shards):
+            self.genesis.setdefault(shard, GenesisLayer(GENESIS, GENESIS_TXID))
+        stream_load(self.sharder, {s: [layer] for s, layer in self.genesis.items()}, items)
         for replica in self.replicas.values():
-            by_shard.setdefault(replica.shard, []).append(replica)
-        stream_load(self.sharder, by_shard, items)
+            replica.store.versions.attach_genesis(self.genesis[replica.shard])
 
     def create_client(self) -> TapirClient:
         from repro.core.system import CLOCK_EPOCH

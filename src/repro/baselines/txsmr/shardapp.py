@@ -60,7 +60,7 @@ class TxShardApp(StateMachine):
 
     def load(self, items: dict[Any, Any]) -> None:
         for key, value in items.items():
-            if self.sharder.shard_of(key) == self.shard:
+            if self.sharder.place(key) == self.shard:
                 self.store.load(key, value)
 
     # ------------------------------------------------------------------

@@ -67,7 +67,7 @@ from repro.core.mvtso import (
     mvtso_check,
     undo_prepare,
 )
-from repro.core.sharding import Sharder
+from repro.core.sharding import Sharder, stream_load
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.crypto.cost_model import CryptoContext
 from repro.crypto.digest import Digest
@@ -75,6 +75,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.storage.versionstore import GenesisLayer, VersionStore
 
 
 class BasilReplica(Node):
@@ -100,8 +101,6 @@ class BasilReplica(Node):
         self.batcher = ReplyBatcher(
             sim, self.crypto, config.batch_size, config.batch_timeout, spawn=self.spawn
         )
-        from repro.storage.versionstore import VersionStore
-
         self.store: VersionStore = VersionStore()
         self.tx_states: dict[Digest, TxState] = {}
         #: Prepare requests parked on undecided dependencies (stats only).
@@ -118,11 +117,13 @@ class BasilReplica(Node):
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def load(self, items: dict[Any, Any]) -> None:
-        """Install genesis state (committed at the GENESIS timestamp)."""
-        for key, value in items.items():
-            if self.sharder.shard_of(key) == self.shard:
-                self.store.apply_committed_write(key, GENESIS, value, GENESIS_TXID)
+    def load(self, items: Any) -> None:
+        """Install genesis state (committed at the GENESIS timestamp) on
+        this replica alone, keeping only its own shard's keys.
+        ``BasilSystem.load`` shares one layer per shard instead."""
+        layer = GenesisLayer(GENESIS, GENESIS_TXID)
+        stream_load(self.sharder, {self.shard: [layer]}, items)
+        self.store.attach_genesis(layer)
 
     def state_of(self, txid: Digest) -> TxState:
         state = self.tx_states.get(txid)

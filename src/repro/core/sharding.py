@@ -40,15 +40,18 @@ def stream_load(
     keys, 1 M Smallbank accounts) load without materializing the full key
     list, and shards absent from ``targets`` (hosted by another partition
     of a space-parallel run) are skipped for free.  Per-shard insertion
-    order matches the eager-dict path exactly.  Pure setup: never
-    schedules events or draws from an RNG stream.
+    order matches the eager-dict path exactly.  Placement is computed,
+    not memoized: the ``shard_of`` memo would otherwise hold the whole
+    population.  Pure setup: never schedules events or draws from an RNG
+    stream.
     """
     if not targets:
         return  # e.g. a partition hosting only clients
     buckets: dict[int, dict[Any, Any]] = {shard: {} for shard in targets}
     pairs = items.items() if hasattr(items, "items") else items
+    place = sharder.place
     for key, value in pairs:
-        shard = sharder.shard_of(key)
+        shard = place(key)
         bucket = buckets.get(shard)
         if bucket is None:
             continue
@@ -86,9 +89,15 @@ class Sharder:
             return 0
         shard = self._placement.get(key)
         if shard is None:
-            shard = zlib.crc32(canonical_encode(key)) % self.num_shards
+            shard = self.place(key)
             self._placement[key] = shard
         return shard
+
+    def place(self, key: Any) -> int:
+        """``shard_of`` without the memo, for one-pass genesis streaming."""
+        if self.num_shards == 1:
+            return 0
+        return zlib.crc32(canonical_encode(key)) % self.num_shards
 
     # -- membership ----------------------------------------------------------
     def members(self, shard: int) -> tuple[str, ...]:

@@ -10,12 +10,15 @@ from __future__ import annotations
 from typing import Any, Awaitable, Callable, Type
 
 from repro.config import SystemConfig
+from repro.core.certificates import GENESIS_TXID
 from repro.core.client import BasilClient
 from repro.core.replica import BasilReplica
 from repro.core.sharding import Sharder, stream_load
+from repro.core.timestamps import GENESIS
 from repro.crypto.signatures import KeyRegistry
 from repro.sim.loop import Simulator
 from repro.sim.network import Network, NetworkAdversary
+from repro.storage.versionstore import GenesisLayer
 
 
 #: All local clocks start at this epoch (plus per-node skew) so that every
@@ -55,6 +58,8 @@ class BasilSystem:
         self.registry = KeyRegistry(seed=self.config.seed)
         self.sharder = Sharder(self.config)
         self.replicas: dict[str, BasilReplica] = {}
+        #: shard -> the genesis layer its local replicas share.
+        self.genesis: dict[int, GenesisLayer] = {}
         self.clients: list[BasilClient] = []
         self._next_client_id = 1
         skew_rng = self.sim.rng("clock-skew")
@@ -94,6 +99,10 @@ class BasilSystem:
         materializing the full key list, and each replica only sees its
         own shard's keys.  Pure setup: never schedules events or draws
         from an RNG stream, so the load path cannot perturb schedules.
+
+        Each local shard gets one read-only genesis layer that all its
+        replicas share (see ``VersionStore.attach_genesis``); a replica
+        copies a key out of it only when it first mutates the key.
         """
         by_shard: dict[int, list[BasilReplica]] = {}
         for shard in range(self.config.num_shards):
@@ -104,7 +113,11 @@ class BasilSystem:
             ]
             if local:
                 by_shard[shard] = local
-        stream_load(self.sharder, by_shard, items)
+                self.genesis.setdefault(shard, GenesisLayer(GENESIS, GENESIS_TXID))
+        stream_load(self.sharder, {s: [self.genesis[s]] for s in by_shard}, items)
+        for shard, local in by_shard.items():
+            for replica in local:
+                replica.store.attach_genesis(self.genesis[shard])
 
     def create_client(
         self, client_class: Type[BasilClient] = BasilClient, **kwargs: Any

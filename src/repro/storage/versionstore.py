@@ -13,6 +13,12 @@ This is the storage substrate under one replica.  It tracks, per key:
 
 Timestamps are opaque, totally ordered values (Basil uses
 ``(time, client_id)`` tuples via :class:`repro.core.timestamps.Timestamp`).
+
+Genesis state lives in a read-only :class:`GenesisLayer` that every
+replica of a shard shares by reference.  A key gets its own per-store
+bookkeeping only on its first mutation, seeded with its genesis version;
+until then every probe answers from the layer, exactly as if the key had
+been loaded into the store.
 """
 
 from __future__ import annotations
@@ -48,6 +54,35 @@ class Version(Generic[TS]):
         return (self.key, self.timestamp, self.value, self.writer, self.status.value)
 
 
+class GenesisLayer(Generic[TS]):
+    """Read-only genesis state shared by the stores of one shard.
+
+    Every key maps to one committed version at ``timestamp`` written by
+    ``writer``.  ``load`` is the only mutator (a ``stream_load`` target);
+    stores that share the layer must be re-attached after it grows.
+    """
+
+    __slots__ = ("timestamp", "writer", "values")
+
+    def __init__(self, timestamp: TS, writer: bytes, values: dict | None = None) -> None:
+        self.timestamp = timestamp
+        self.writer = writer
+        self.values: dict[Key, Any] = {} if values is None else values
+
+    def load(self, chunk: dict[Key, Any]) -> None:
+        """Add genesis values; a key already present keeps its first value,
+        as a repeated committed write at the same timestamp is idempotent."""
+        values = self.values
+        if values.keys().isdisjoint(chunk):
+            values.update(chunk)
+        else:
+            for key, value in chunk.items():
+                values.setdefault(key, value)
+
+    def version(self, key: Key) -> Version:
+        return Version(key, self.timestamp, self.values[key], self.writer, VersionStatus.COMMITTED)
+
+
 @dataclass
 class _KeyState:
     """Per-key bookkeeping. All lists are kept sorted by timestamp."""
@@ -72,27 +107,50 @@ class VersionStore(Generic[TS]):
     profiler = NULL_PROFILER
 
     def __init__(self) -> None:
+        #: Per-key state of every key this store has mutated.
         self._keys: dict[Key, _KeyState] = {}
+        self._genesis: GenesisLayer | None = None
+        #: How many keys of ``_keys`` the genesis layer also holds.
+        self._shadowed = 0
 
     def _state(self, key: Key) -> _KeyState:
         state = self._keys.get(key)
         if state is None:
-            state = _KeyState()
+            # Copy-on-write: a key's first mutation seeds its own chain
+            # with the genesis version it has been answering from.
+            genesis = self._genesis
+            if genesis is not None and key in genesis.values:
+                state = _KeyState([(genesis.timestamp, genesis.version(key))])
+                self._shadowed += 1
+            else:
+                state = _KeyState()
             self._keys[key] = state
         return state
 
+    def _genesis_version(self, key: Key) -> Version | None:
+        """The layer's version of a key this store has not mutated."""
+        genesis = self._genesis
+        if genesis is None or key not in genesis.values:
+            return None
+        return genesis.version(key)
+
     def __contains__(self, key: Key) -> bool:
         state = self._keys.get(key)
-        return bool(state and state.committed)
+        if state is None:
+            return self._genesis is not None and key in self._genesis.values
+        return bool(state.committed)
 
     def keys(self) -> Iterable[Key]:
-        return self._keys.keys()
+        if self._genesis is None:
+            return self._keys.keys()
+        return {**dict.fromkeys(self._genesis.values), **dict.fromkeys(self._keys)}.keys()
 
     def stats(self) -> dict[str, int]:
         """Size counters for observability probes (pure observation).
 
-        Walks the per-key state; intended for periodic sampling (the
-        obs ticker), not per-operation paths.
+        Walks the state of mutated keys only: every other genesis key
+        holds exactly one committed version.  Intended for periodic
+        sampling (the obs ticker), not per-operation paths.
         """
         committed = prepared = rts = reads = 0
         for state in self._keys.values():
@@ -100,9 +158,10 @@ class VersionStore(Generic[TS]):
             prepared += len(state.prepared)
             rts += len(state.rts)
             reads += len(state.reads)
+        untouched = len(self._genesis.values) - self._shadowed if self._genesis else 0
         return {
-            "keys": len(self._keys),
-            "committed_versions": committed,
+            "keys": len(self._keys) + untouched,
+            "committed_versions": committed + untouched,
             "prepared_versions": prepared,
             "rts_reservations": rts,
             "read_index_entries": reads,
@@ -111,6 +170,26 @@ class VersionStore(Generic[TS]):
     # ------------------------------------------------------------------
     # Loading / committed writes
     # ------------------------------------------------------------------
+    def attach_genesis(self, layer: GenesisLayer) -> None:
+        """Answer from ``layer`` for every key this store has not mutated.
+
+        The layer is shared by reference, never written; attach again
+        after loading more keys into it.  A store that already has a
+        different layer gets a private merge of both, its earlier values
+        winning.
+        """
+        current = self._genesis
+        if current is not None and current is not layer:
+            merged = GenesisLayer(current.timestamp, current.writer, dict(current.values))
+            merged.load(layer.values)
+            layer = merged
+        self._genesis = layer
+        self._shadowed = 0
+        for key, state in self._keys.items():
+            if key in layer.values:
+                self._shadowed += 1
+                self._insert_committed(key, state, layer.version(key))
+
     def apply_committed_write(self, key: Key, timestamp: TS, value: Any, writer: bytes) -> None:
         """Insert a committed version at its timestamp position.
 
@@ -118,8 +197,11 @@ class VersionStore(Generic[TS]):
         transactions independently); insertion keeps the chain sorted, as
         the paper's proof of Lemma 1 requires.
         """
-        state = self._state(key)
         version = Version(key, timestamp, value, writer, VersionStatus.COMMITTED)
+        self._insert_committed(key, self._state(key), version)
+
+    def _insert_committed(self, key: Key, state: _KeyState, version: Version) -> None:
+        timestamp = version.timestamp
         # Chains hold (timestamp, Version) pairs; probing with the 1-tuple
         # ``(timestamp,)`` bisects on the timestamp alone (a shorter tuple
         # sorts before any equal-prefix longer one) without a per-probe
@@ -127,7 +209,7 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.committed, (timestamp,))
         if idx < len(state.committed) and state.committed[idx][0] == timestamp:
             existing = state.committed[idx][1]
-            if existing.writer != writer:
+            if existing.writer != version.writer:
                 raise StorageError(
                     f"two committed writers at the same timestamp on {key!r}"
                 )
@@ -150,7 +232,10 @@ class VersionStore(Generic[TS]):
 
     def _latest_committed(self, key: Key, before: TS) -> Version | None:
         state = self._keys.get(key)
-        if not state or not state.committed:
+        if state is None:
+            genesis = self._genesis_version(key)
+            return genesis if genesis is not None and genesis.timestamp < before else None
+        if not state.committed:
             return None
         idx = bisect.bisect_left(state.committed, (before,))
         if idx == 0:
@@ -277,7 +362,10 @@ class VersionStore(Generic[TS]):
 
     def _writes_between(self, key: Key, low: TS, high: TS) -> list[Version]:
         state = self._keys.get(key)
-        if not state:
+        if state is None:
+            genesis = self._genesis_version(key)
+            if genesis is not None and low < genesis.timestamp < high:
+                return [genesis]
             return []
         found: list[Version] = []
         for chain in (state.committed, state.prepared):
@@ -325,7 +413,10 @@ class VersionStore(Generic[TS]):
     # ------------------------------------------------------------------
     def committed_versions(self, key: Key) -> list[Version]:
         state = self._keys.get(key)
-        return [v for _, v in state.committed] if state else []
+        if state is None:
+            genesis = self._genesis_version(key)
+            return [genesis] if genesis is not None else []
+        return [v for _, v in state.committed]
 
     def prepared_versions(self, key: Key) -> list[Version]:
         state = self._keys.get(key)
